@@ -2,12 +2,10 @@ package main
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"fmt"
 	"log"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"sort"
 	"strconv"
@@ -18,8 +16,6 @@ import (
 	"repro/internal/dblp"
 	"repro/internal/flix"
 	"repro/internal/obs"
-	"repro/internal/server"
-	"repro/internal/shard"
 	"repro/internal/xmlgraph"
 )
 
@@ -146,39 +142,8 @@ func scrapeCounters(url string) dtraceCounters {
 // runDtraceCount stands up n shards plus a router, replays the mix untraced
 // then traced, and reconciles the traced pass against /metrics.
 func runDtraceCount(coll *xmlgraph.Collection, ix *flix.Index, n int, queries []shardQuery) dtraceRow {
-	shards := make([]*httptest.Server, n)
-	urls := make([]string, n)
-	for i := 0; i < n; i++ {
-		s := server.New(ix, server.Config{
-			Shard:     &server.ShardConfig{ID: i, Count: n},
-			CacheSize: -1,
-		})
-		shards[i] = httptest.NewServer(s.Handler())
-		urls[i] = shards[i].URL
-	}
-	defer func() {
-		for _, ts := range shards {
-			ts.Close()
-		}
-	}()
-	rt, err := shard.NewRouter(coll, shard.RouterConfig{
-		Shards:        urls,
-		ProbeInterval: 20 * time.Millisecond,
-		MaxLimit:      1 << 20,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	rt.Start(ctx)
-	wctx, wcancel := context.WithTimeout(ctx, 30*time.Second)
-	defer wcancel()
-	if err := rt.WaitReady(wctx); err != nil {
-		log.Fatalf("router with %d shards never became ready: %v", n, err)
-	}
-	router := httptest.NewServer(rt.Handler())
-	defer router.Close()
+	routerURL, stop := startCluster(coll, ix, n)
+	defer stop()
 
 	type wire struct {
 		Results []struct {
@@ -192,7 +157,7 @@ func runDtraceCount(coll *xmlgraph.Collection, ix *flix.Index, n int, queries []
 	runPass := func(traced, record bool) (durs []time.Duration, traces []*obs.ClusterTrace) {
 		for _, q := range queries {
 			url := fmt.Sprintf("%s/v1/descendants?start=%d&tag=%s&k=%d&timeout=30s",
-				router.URL, q.start, q.tag, len(q.want)+1)
+				routerURL, q.start, q.tag, len(q.want)+1)
 			if traced {
 				url += "&trace=1"
 			}
@@ -237,9 +202,9 @@ func runDtraceCount(coll *xmlgraph.Collection, ix *flix.Index, n int, queries []
 	runPass(false, false) // warm connections and page cache
 	plain, _ := runPass(false, true)
 
-	before := scrapeCounters(router.URL)
+	before := scrapeCounters(routerURL)
 	traced, traces := runPass(true, true)
-	after := scrapeCounters(router.URL)
+	after := scrapeCounters(routerURL)
 
 	// Reconcile the summed per-trace counts against the counter deltas —
 	// the acceptance contract of the tracing tier.

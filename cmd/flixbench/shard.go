@@ -102,10 +102,10 @@ type shardQuery struct {
 	want  []xmlgraph.NodeDist
 }
 
-// runShardCount stands up n shard servers plus a router over real HTTP,
-// replays the query mix through /v1/descendants, verifies every stream
-// against its oracle, and reports throughput and latency percentiles.
-func runShardCount(coll *xmlgraph.Collection, ix *flix.Index, n int, queries []shardQuery) shardRow {
+// startCluster stands up n in-process shard servers plus a router, all over
+// real HTTP, and waits for the router to become ready.  It returns the
+// router's base URL and the cluster's teardown.
+func startCluster(coll *xmlgraph.Collection, ix *flix.Index, n int) (string, func()) {
 	shards := make([]*httptest.Server, n)
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
@@ -116,29 +116,36 @@ func runShardCount(coll *xmlgraph.Collection, ix *flix.Index, n int, queries []s
 		shards[i] = httptest.NewServer(s.Handler())
 		urls[i] = shards[i].URL
 	}
-	defer func() {
-		for _, ts := range shards {
-			ts.Close()
-		}
-	}()
 	rt, err := shard.NewRouter(coll, shard.RouterConfig{
 		Shards:        urls,
 		ProbeInterval: 20 * time.Millisecond,
-		MaxLimit:      1 << 20,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	rt.Start(ctx)
 	wctx, wcancel := context.WithTimeout(ctx, 30*time.Second)
 	defer wcancel()
 	if err := rt.WaitReady(wctx); err != nil {
 		log.Fatalf("router with %d shards never became ready: %v", n, err)
 	}
-	router := httptest.NewServer(rt.Handler())
-	defer router.Close()
+	router := httptest.NewServer(server.NewRouted(rt, server.Config{MaxLimit: 1 << 20}).Handler())
+	return router.URL, func() {
+		router.Close()
+		cancel()
+		for _, ts := range shards {
+			ts.Close()
+		}
+	}
+}
+
+// runShardCount stands up n shard servers plus a router over real HTTP,
+// replays the query mix through /v1/descendants, verifies every stream
+// against its oracle, and reports throughput and latency percentiles.
+func runShardCount(coll *xmlgraph.Collection, ix *flix.Index, n int, queries []shardQuery) shardRow {
+	routerURL, stop := startCluster(coll, ix, n)
+	defer stop()
 
 	type wire struct {
 		Results []struct {
@@ -156,7 +163,7 @@ func runShardCount(coll *xmlgraph.Collection, ix *flix.Index, n int, queries []s
 		for _, q := range queries {
 			t0 := time.Now()
 			resp, err := http.Get(fmt.Sprintf("%s/v1/descendants?start=%d&tag=%s&k=%d&timeout=30s",
-				router.URL, q.start, q.tag, len(q.want)+1))
+				routerURL, q.start, q.tag, len(q.want)+1))
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -4,6 +4,9 @@
 // index), probes the shards' health, bootstraps the cluster topology from a
 // shard's /v1/shard/links, and answers the single-node query API by fanning
 // frontier batches out to the owning shards and merging the streams back.
+// The HTTP front end (internal/server) is flixd's own — admission,
+// deadlines, limits, batching and error shapes are shared — running over
+// the routed backend (internal/shard's Router) instead of a local index.
 //
 // Usage:
 //
@@ -35,18 +38,16 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
+	"fmt"
 	"log"
-	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	flix "repro"
+	"repro/internal/daemon"
+	"repro/internal/server"
 	"repro/internal/shard"
 )
 
@@ -99,28 +100,32 @@ func main() {
 		log.Printf("warning: %v", e)
 	}
 
-	cfg := shard.RouterConfig{
-		Shards:         urls,
-		VNodes:         *vnodes,
-		Quorum:         *quorum,
-		HopBudget:      *hopBudget,
+	var logger *log.Logger
+	if !*quiet {
+		logger = log.New(os.Stderr, "flixd-router: ", 0)
+	}
+	rt, err := shard.NewRouter(coll, shard.RouterConfig{
+		Shards:        urls,
+		VNodes:        *vnodes,
+		Quorum:        *quorum,
+		HopBudget:     *hopBudget,
+		ShardTimeout:  *shardTO,
+		Retries:       *retries,
+		ProbeInterval: *probe,
+		Logger:        logger,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	s := server.NewRouted(rt, server.Config{
 		MaxInFlight:    *inflight,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTO,
 		DefaultLimit:   *limit,
 		MaxLimit:       *maxLimit,
 		MaxBatch:       *maxBatch,
-		ShardTimeout:   *shardTO,
-		Retries:        *retries,
-		ProbeInterval:  *probe,
-	}
-	if !*quiet {
-		cfg.Logger = log.New(os.Stderr, "flixd-router: ", 0)
-	}
-	rt, err := shard.NewRouter(coll, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
+		Logger:         logger,
+	})
 	if *ontoFile != "" {
 		text, err := os.ReadFile(*ontoFile)
 		if err != nil {
@@ -130,49 +135,16 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rt.SetOntology(onto)
+		s.SetOntology(onto)
 	}
 
 	probeCtx, stopProbe := context.WithCancel(context.Background())
 	defer stopProbe()
 	rt.Start(probeCtx)
 
-	// The pprof endpoints live on their own listener so profiling access
-	// can be firewalled separately from the query API — same split as
-	// flixd's -debug-addr.
-	if *dbgAddr != "" {
-		dbg := http.NewServeMux()
-		dbg.HandleFunc("/debug/pprof/", pprof.Index)
-		dbg.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		dbg.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		dbg.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		dbg.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		go func() {
-			log.Printf("pprof on %s/debug/pprof/", *dbgAddr)
-			if err := http.ListenAndServe(*dbgAddr, dbg); err != nil {
-				log.Printf("debug server: %v", err)
-			}
-		}()
-	}
-
-	srv := &http.Server{Addr: *addr, Handler: rt.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("routing %d documents / %d elements across %d shards on %s",
+	banner := fmt.Sprintf("routing %d documents / %d elements across %d shards on %s",
 		coll.NumDocs(), coll.NumNodes(), len(urls), *addr)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
+	if err := daemon.ListenAndServe(*addr, *dbgAddr, s.Handler(), *drain, banner); err != nil {
 		log.Fatal(err)
-	case got := <-sig:
-		log.Printf("%v: draining in-flight queries (max %s)", got, *drain)
-		ctx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-			log.Fatal(err)
-		}
-		log.Print("bye")
 	}
 }

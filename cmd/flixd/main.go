@@ -12,7 +12,8 @@
 //	      [-snapshot-format v1|v2] [-snapshot-compress] [-mmap]
 //	      [-shard-id 0 -shard-count 3 [-shard-vnodes 64]]
 //
-// Endpoints (see internal/server):
+// Endpoints (internal/server, the HTTP front end flixd-router shares, here
+// over the local index generation):
 //
 //	GET  /v1/descendants?start=<doc|node>&tag=<tag>[&k=][&maxdist=][&timeout=]
 //	GET  /v1/connected?from=<doc|node>&to=<doc|node>[&maxdist=]
@@ -49,17 +50,14 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
+	"fmt"
 	"log"
-	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	flix "repro"
+	"repro/internal/daemon"
 	"repro/internal/rebuild"
 	"repro/internal/server"
 )
@@ -212,46 +210,12 @@ func main() {
 		mgr.Run(rebuildCtx) // returns immediately when -reindex-interval is 0
 	}()
 
-	// The pprof endpoints live on their own listener so profiling access
-	// can be firewalled separately from the query API.
-	if *dbgAddr != "" {
-		dbg := http.NewServeMux()
-		dbg.HandleFunc("/debug/pprof/", pprof.Index)
-		dbg.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		dbg.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		dbg.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		dbg.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		go func() {
-			log.Printf("pprof on %s/debug/pprof/", *dbgAddr)
-			if err := http.ListenAndServe(*dbgAddr, dbg); err != nil {
-				log.Printf("debug server: %v", err)
-			}
-		}()
-	}
-
-	srv := &http.Server{Addr: *addr, Handler: s.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
+	banner := fmt.Sprintf("serving %d documents / %d elements on %s", coll.NumDocs(), coll.NumNodes(), *addr)
 	if *shardID >= 0 {
-		log.Printf("serving %d documents / %d elements on %s as shard %d/%d",
-			coll.NumDocs(), coll.NumNodes(), *addr, *shardID, *shardN)
-	} else {
-		log.Printf("serving %d documents / %d elements on %s", coll.NumDocs(), coll.NumNodes(), *addr)
+		banner += fmt.Sprintf(" as shard %d/%d", *shardID, *shardN)
 	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
+	if err := daemon.ListenAndServe(*addr, *dbgAddr, s.Handler(), *drain, banner); err != nil {
 		log.Fatal(err)
-	case got := <-sig:
-		log.Printf("%v: draining in-flight queries (max %s)", got, *drain)
-		ctx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-			log.Fatal(err)
-		}
-		log.Print("bye")
 	}
 }
 

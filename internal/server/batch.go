@@ -16,6 +16,9 @@ package server
 // the response in request order regardless.  When the deadline expires the
 // items already examined are returned as a completed prefix — the response
 // stays HTTP 200 with "partial": true and the remainder marked "skipped".
+// The routed backend has no query cache, so there every descendants item
+// is a miss, grouped by meta document (consecutive gathers fan out to the
+// same owning shard).
 
 import (
 	"context"
@@ -57,7 +60,7 @@ type batchPlanItem struct {
 // the response a shard.BatchResponse with one item per query, in request
 // order.  Per-item failures (parse errors, unknown start nodes) do not
 // fail the batch: the item carries status "error" and the rest proceed.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, ctx context.Context) {
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, ctx context.Context, v view) {
 	if r.Method != http.MethodPost {
 		s.fail(w, http.StatusMethodNotAllowed, "POST a JSON batch body to /v1/batch")
 		return
@@ -76,13 +79,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, ctx context
 			fmt.Sprintf("batch of %d queries exceeds the limit of %d", len(req.Queries), s.cfg.MaxBatch))
 		return
 	}
-	g := s.genFor(ctx)
-	ri := reqInfoFrom(ctx)
-
 	items := make([]shard.BatchItem, len(req.Queries))
 	plan := make([]batchPlanItem, 0, len(req.Queries))
 	for i, bq := range req.Queries {
-		it, err := s.planBatchItem(g, i, bq, req.K)
+		it, err := s.planBatchItem(v, i, bq, req.K)
 		if err != nil {
 			items[i] = shard.BatchItem{Status: shard.BatchError, Error: err.Error()}
 			continue
@@ -94,7 +94,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, ctx context
 	// One evaluator for every ranked item in the batch: EvaluateTopK pools
 	// its scratch, so consecutive ranked queries reuse the same heaps and
 	// stream buffers instead of rewarming the pool per item.
-	eval := &query.Evaluator{Index: g.ix, Ontology: s.onto, Cancel: ctx.Done(), Tracer: ri.trace}
+	eval := &query.Evaluator{Index: v.index(), Ontology: s.onto, Cancel: ctx.Done(), Tracer: reqInfoFrom(ctx).trace}
 	executed := 0
 	for _, it := range plan {
 		if expired(ctx) {
@@ -103,31 +103,27 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, ctx context
 		if s.batchItemHook != nil {
 			s.batchItemHook(it.idx)
 		}
-		items[it.idx] = s.runBatchItem(ctx, g, eval, it)
+		items[it.idx] = s.runBatchItem(ctx, v, eval, it)
 		executed++
 	}
 	for _, it := range plan[executed:] {
 		items[it.idx] = shard.BatchItem{Status: shard.BatchSkipped, Error: "batch deadline expired"}
 	}
 
-	timedOut := expired(ctx)
-	if timedOut {
-		s.timeouts.Add(1)
-	}
 	resp := shard.BatchResponse{
-		Results:    items,
-		Completed:  len(items) - (len(plan) - executed),
-		Partial:    executed < len(plan),
-		TimedOut:   timedOut,
-		Generation: g.num,
+		Results:   items,
+		Completed: len(items) - (len(plan) - executed),
+		Partial:   executed < len(plan),
+		TimedOut:  s.timedOut(ctx),
 	}
+	v.finishBatch(w, &resp)
 	s.ok(w, resp)
 }
 
 // planBatchItem parses and resolves one batch entry, computing its result
 // bound and ordering keys.  Errors here become per-item "error" statuses,
 // not batch failures.
-func (s *Server) planBatchItem(g *generation, i int, bq shard.BatchQuery, defK int) (batchPlanItem, error) {
+func (s *Server) planBatchItem(v view, i int, bq shard.BatchQuery, defK int) (batchPlanItem, error) {
 	it := batchPlanItem{idx: i, k: bq.K}
 	if it.k <= 0 {
 		it.k = defK
@@ -156,8 +152,7 @@ func (s *Server) planBatchItem(g *generation, i int, bq shard.BatchQuery, defK i
 		return it, fmt.Errorf("bad maxDist %d (want >= 0)", bq.MaxDist)
 	}
 	it.start, it.tag, it.maxDist, it.self = start, bq.Tag, bq.MaxDist, bq.IncludeSelf
-	it.meta = g.ix.MetaOf(start)
-	it.hit = g.cache != nil && g.cache.Contains(start, bq.Tag)
+	it.meta, it.hit = v.batchKey(start, bq.Tag)
 	return it, nil
 }
 
@@ -193,9 +188,12 @@ func orderPlan(plan []batchPlanItem) {
 	})
 }
 
-// runBatchItem evaluates one planned item on the request's generation.
-func (s *Server) runBatchItem(ctx context.Context, g *generation, eval *query.Evaluator, it batchPlanItem) shard.BatchItem {
+// runBatchItem evaluates one planned item.  Its answer is truncated — sound
+// but possibly incomplete — when the deadline cut its evaluation short or
+// the backend answered it partially.
+func (s *Server) runBatchItem(ctx context.Context, v view, eval *query.Evaluator, it batchPlanItem) shard.BatchItem {
 	item := shard.BatchItem{Status: shard.BatchOK, CacheHit: it.hit}
+	partials := v.partials()
 	if it.ranked {
 		matches := eval.EvaluateTopK(it.q, it.k)
 		item.Results = make([]shard.BatchResult, 0, len(matches))
@@ -206,30 +204,22 @@ func (s *Server) runBatchItem(ctx context.Context, g *generation, eval *query.Ev
 			item.Results = append(item.Results, br)
 		}
 		item.Truncated = eval.Stats.Truncated
-		item.Count = len(item.Results)
-		return item
-	}
-	ri := reqInfoFrom(ctx)
-	opts := flix.Options{
-		MaxResults:  it.k,
-		MaxDist:     it.maxDist,
-		IncludeSelf: it.self,
-		Cancel:      ctx.Done(),
-		Tracer:      ri.trace,
-	}
-	item.Results = make([]shard.BatchResult, 0, 8)
-	emit := func(r flix.Result) bool {
-		item.Results = append(item.Results, s.batchResult(r.Node, r.Dist))
-		return true
-	}
-	if g.cache != nil {
-		g.cache.Descendants(it.start, it.tag, opts, emit)
 	} else {
-		g.ix.Descendants(it.start, it.tag, opts, emit)
+		opts := flix.Options{
+			MaxResults:  it.k,
+			MaxDist:     it.maxDist,
+			IncludeSelf: it.self,
+			Cancel:      ctx.Done(),
+			Tracer:      reqInfoFrom(ctx).trace,
+		}
+		item.Results = make([]shard.BatchResult, 0, 8)
+		v.descendants(it.start, it.tag, opts, func(r flix.Result) bool {
+			item.Results = append(item.Results, s.batchResult(r.Node, r.Dist))
+			return true
+		})
+		item.Truncated = expired(ctx)
 	}
-	// A deadline that expired mid-scan cut the priority-queue loop short;
-	// the item's results are then a sound prefix, flagged as such.
-	item.Truncated = expired(ctx)
+	item.Truncated = item.Truncated || v.partials() > partials
 	item.Count = len(item.Results)
 	return item
 }

@@ -8,12 +8,57 @@ import (
 	"repro/internal/obs"
 )
 
-// handleMetrics renders the serving and engine counters in the Prometheus
-// text exposition format, hand-rolled on the standard library (the module
-// takes no external dependencies).
+// handleMetrics renders the serving counters, then the backend's own
+// series, in the Prometheus text exposition format, hand-rolled on the
+// standard library (the module takes no external dependencies).  The
+// request series carry the backend's prefix: flix_* on flixd,
+// flix_router_* on flixd-router.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
+	pre := s.be.metricPrefix()
+
+	p("# HELP %s_requests_total Query requests received, by endpoint.\n", pre)
+	p("# TYPE %s_requests_total counter\n", pre)
+	p("%s_requests_total{endpoint=\"batch\"} %d\n", pre, s.reqBatch.Load())
+	p("%s_requests_total{endpoint=\"connected\"} %d\n", pre, s.reqConnected.Load())
+	p("%s_requests_total{endpoint=\"descendants\"} %d\n", pre, s.reqDescendants.Load())
+	p("%s_requests_total{endpoint=\"query\"} %d\n", pre, s.reqQuery.Load())
+
+	p("# HELP %s_requests_shed_total Requests rejected with 429 at the admission limit or by backend backpressure.\n", pre)
+	p("# TYPE %s_requests_shed_total counter\n", pre)
+	p("%s_requests_shed_total %d\n", pre, s.shed.Load())
+
+	p("# HELP %s_requests_not_ready_total Requests answered 503 before the backend was ready.\n", pre)
+	p("# TYPE %s_requests_not_ready_total counter\n", pre)
+	p("%s_requests_not_ready_total %d\n", pre, s.notReady.Load())
+
+	p("# HELP %s_request_timeouts_total Requests whose deadline expired mid-evaluation.\n", pre)
+	p("# TYPE %s_request_timeouts_total counter\n", pre)
+	p("%s_request_timeouts_total %d\n", pre, s.timeouts.Load())
+
+	p("# HELP %s_client_errors_total Requests rejected with a 4xx other than 429.\n", pre)
+	p("# TYPE %s_client_errors_total counter\n", pre)
+	p("%s_client_errors_total %d\n", pre, s.clientErrors.Load())
+
+	p("# HELP %s_request_duration_seconds Query latency by endpoint.\n", pre)
+	p("# TYPE %s_request_duration_seconds histogram\n", pre)
+	for _, ep := range sortedKeys(s.latency) {
+		writeHistogram(p, pre+"_request_duration_seconds", "endpoint", ep, s.latency[ep].Snapshot())
+	}
+
+	p("# HELP %s_inflight_requests Queries currently evaluating.\n", pre)
+	p("# TYPE %s_inflight_requests gauge\n", pre)
+	p("%s_inflight_requests %d\n", pre, s.InFlight())
+
+	obs.WriteGoRuntimeText(p)
+	s.be.metrics(p)
+}
+
+// metrics writes the local backend's series: readiness, the generation,
+// per-strategy latency and, once a generation is live, the engine, cache,
+// index and build figures describing it.
+func (s localBackend) metrics(p func(format string, args ...any)) {
 	g := s.gen.Load()
 
 	p("# HELP flix_ready Whether an index generation is live (readiness).\n")
@@ -29,37 +74,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("# HELP flix_index_swaps_total Hot-swaps of the serving index (installs past the first).\n")
 	p("# TYPE flix_index_swaps_total counter\n")
 	p("flix_index_swaps_total %d\n", s.swaps.Load())
-	p("# HELP flix_requests_not_ready_total Requests answered 503 before the first generation.\n")
-	p("# TYPE flix_requests_not_ready_total counter\n")
-	p("flix_requests_not_ready_total %d\n", s.notReady.Load())
-
-	p("# HELP flix_requests_total Query requests received, by endpoint.\n")
-	p("# TYPE flix_requests_total counter\n")
-	p("flix_requests_total{endpoint=\"descendants\"} %d\n", s.reqDescendants.Load())
-	p("flix_requests_total{endpoint=\"connected\"} %d\n", s.reqConnected.Load())
-	p("flix_requests_total{endpoint=\"query\"} %d\n", s.reqQuery.Load())
-
-	p("# HELP flix_requests_shed_total Requests rejected with 429 at the admission limit.\n")
-	p("# TYPE flix_requests_shed_total counter\n")
-	p("flix_requests_shed_total %d\n", s.shed.Load())
-
-	p("# HELP flix_request_timeouts_total Requests whose deadline expired mid-evaluation.\n")
-	p("# TYPE flix_request_timeouts_total counter\n")
-	p("flix_request_timeouts_total %d\n", s.timeouts.Load())
-
-	p("# HELP flix_client_errors_total Requests rejected with a 4xx other than 429.\n")
-	p("# TYPE flix_client_errors_total counter\n")
-	p("flix_client_errors_total %d\n", s.clientErrors.Load())
 
 	p("# HELP flix_slow_queries_total Requests slower than the slow-query threshold.\n")
 	p("# TYPE flix_slow_queries_total counter\n")
 	p("flix_slow_queries_total %d\n", s.slowQueries.Load())
-
-	p("# HELP flix_request_duration_seconds Query latency by endpoint.\n")
-	p("# TYPE flix_request_duration_seconds histogram\n")
-	for _, ep := range sortedKeys(s.latency) {
-		writeHistogram(p, "flix_request_duration_seconds", "endpoint", ep, s.latency[ep].Snapshot())
-	}
 
 	p("# HELP flix_strategy_request_duration_seconds Query latency by the indexing strategy of the start node's meta document (current generation).\n")
 	p("# TYPE flix_strategy_request_duration_seconds histogram\n")
@@ -68,12 +86,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			writeHistogram(p, "flix_strategy_request_duration_seconds", "strategy", st, g.stratLatency[st].Snapshot())
 		}
 	}
-
-	p("# HELP flix_inflight_requests Queries currently evaluating.\n")
-	p("# TYPE flix_inflight_requests gauge\n")
-	p("flix_inflight_requests %d\n", s.InFlight())
-
-	obs.WriteGoRuntimeText(p)
 
 	// Everything below describes the serving generation; before the first
 	// install there is none to describe.

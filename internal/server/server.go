@@ -1,26 +1,32 @@
-// Package server turns a built flix.Index into a long-lived, shared,
-// overload-safe HTTP endpoint — the serving layer the paper's framework
-// implies but leaves to the host system.
+// Package server is the HTTP front end of FliX — the serving layer the
+// paper's framework implies but leaves to the host system.  One front end
+// serves both binaries over a small backend interface:
 //
-// One process loads (or builds) an index once and answers concurrent
-// queries over a small JSON API:
+//   - the local backend (New, NewPending): flixd's hot-swappable index
+//     generation, its query cache and, in shard mode, the partial-frontier
+//     endpoints a router fans out to;
+//   - the routed backend (NewRouted): flixd-router's scatter-gather over a
+//     shard.Router.
+//
+// Both answer concurrent queries over one small JSON API:
 //
 //	GET /v1/descendants  start//tag connection queries
 //	GET /v1/connected    point-to-point connection tests
 //	GET /v1/query        ranked path expressions (ParseQuery/Evaluator)
 //	POST /v1/batch       many queries in one request, one admission slot
-//	GET /healthz         liveness
-//	GET /statsz          engine + self-tuning + server statistics
+//	GET /healthz         readiness
+//	GET /statsz          backend + server statistics
 //	GET /metrics         Prometheus text format
 //
 // Every query endpoint runs behind a bounded admission semaphore (excess
 // load is shed immediately with 429 instead of queueing), a per-request
 // deadline (the context's Done channel is threaded into the evaluator's
 // priority-queue loop, so a timed-out query stops promptly and returns what
-// it found, flagged as truncated), and request-scoped result limits.  A
-// QueryCache fronts the descendants path; /statsz reports its hit rate next
-// to the §7 self-tuning advice so operators can see when the meta-document
-// layout has gone stale for the live query load.
+// it found, flagged as truncated), and request-scoped result limits.
+// Admission, deadlines, request IDs, the access log, parameter parsing,
+// result rendering, batch execution and error shapes exist once, here; a
+// backend contributes only its answers, its own response fields and its
+// own /healthz, /statsz and /metrics sections.
 package server
 
 import (
@@ -28,7 +34,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -43,8 +48,8 @@ import (
 	"repro/internal/xmlgraph"
 )
 
-// Config tunes the serving layer.  The zero value is usable; New fills in
-// the defaults below.
+// Config tunes the serving layer.  The zero value is usable; the
+// constructors fill in the defaults below.
 type Config struct {
 	// MaxInFlight bounds the number of concurrently evaluating queries;
 	// requests beyond it are shed with 429.  Default 64.
@@ -64,7 +69,7 @@ type Config struct {
 	MaxBatch int
 	// CacheSize is the QueryCache capacity fronting /v1/descendants
 	// (number of distinct cached queries).  Default 1024; negative
-	// disables the cache.
+	// disables the cache.  Local backend only.
 	CacheSize int
 	// Logger receives one access-log line per request and the slow-query
 	// log.  Nil disables both.
@@ -80,12 +85,13 @@ type Config struct {
 	SlowQuerySample int
 	// TraceEventLimit caps the raw event list of each request trace
 	// (?trace=1 and slow-query tracing).  Default obs.DefaultEventLimit.
+	// Local backend only.
 	TraceEventLimit int
 	// Shard, when non-nil, runs the server as one shard of a
 	// scatter-gather cluster: /v1/shard/eval and /v1/shard/links are
 	// registered, /healthz reports the shard's ring position and
 	// decomposition fingerprint, and each generation carries the
-	// ownership mask the ring assigns to this shard.
+	// ownership mask the ring assigns to this shard.  Local backend only.
 	Shard *ShardConfig
 }
 
@@ -117,60 +123,71 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// generation is one immutable serving epoch: an index, the query cache
-// fronting it, and the per-strategy latency histograms for the strategies
-// present in that index.  A live reindex installs a complete new generation
-// with a single atomic pointer store; requests capture the pointer once at
-// admission, so an in-flight query finishes entirely on the generation it
-// started on while new arrivals already see the next one.  The cache is
-// part of the generation, which enforces the purge-on-swap invariant for
-// free: a new index never serves results memoized from an old one.
-type generation struct {
-	num          uint64
-	ix           *flix.Index
-	cache        *flix.QueryCache
-	stratLatency map[string]*obs.Histogram
-	installed    time.Time
-	reason       string
-	warmed       int // queries pre-warmed from the previous generation's cache
-	// shard is the per-generation shard state (ownership mask,
-	// decomposition fingerprint); nil outside shard mode.
-	shard *shardGen
+// backend is the engine behind the front end: the local index generation
+// (localBackend) or a shard.Router's scatter-gather (routedBackend).
+type backend interface {
+	// refuse returns the status and message a query is turned away with
+	// before admission — 503 while the backend is not ready, 429 when it
+	// is saturated — or 0 to admit it.
+	refuse() (int, string)
+	// open starts an admitted request under ctx, its deadline.  sampled
+	// asks for a trace for the slow-query log.
+	open(ctx context.Context, ri *reqInfo, sampled bool) view
+	// routes registers the backend's own endpoints.
+	routes(mux *http.ServeMux)
+	// healthz adds the backend's fields, "status" among them, to the
+	// /healthz body and reports readiness.
+	healthz(body map[string]any) bool
+	// statsz returns the /statsz document.
+	statsz() map[string]any
+	// metricPrefix names the front end's /metrics series; metrics writes
+	// the backend's own.
+	metricPrefix() string
+	metrics(p func(format string, args ...any))
 }
 
-// Server serves a FliX index that can be hot-swapped under live traffic.
+// view is one admitted request's handle on its backend.
+type view interface {
+	descendants(start xmlgraph.NodeID, tag string, opts flix.Options, emit flix.Emit)
+	connected(from, to xmlgraph.NodeID, opts flix.Options) (int32, bool)
+	// index is what ranked queries evaluate over.
+	index() query.Backend
+	// batchKey returns a descendants batch item's grouping key (the start
+	// node's meta document) and whether the query cache holds its answer.
+	batchKey(start xmlgraph.NodeID, tag string) (meta int32, hit bool)
+	// partials counts the partial answers the backend gave the request so
+	// far; a batch item that raised it is truncated.
+	partials() int
+	// finish adds the backend's own fields and headers, and the ?trace=1
+	// trace, to a single-query response; results and st (nil outside
+	// /v1/query) describe the answer to the trace.
+	finish(w http.ResponseWriter, resp map[string]any, results int64, st *query.EvalStats)
+	// finishBatch adds the backend's own fields and headers to a batch
+	// response.
+	finishBatch(w http.ResponseWriter, resp *shard.BatchResponse)
+}
+
+// Server is the HTTP front end over one backend.
 type Server struct {
 	coll *xmlgraph.Collection
 	onto *ontology.Ontology
 	cfg  Config
-
-	// gen is the current serving generation; nil until the first Install
-	// (readiness: /healthz and the query endpoints answer 503 meanwhile).
-	gen       atomic.Pointer[generation]
-	genSeq    atomic.Uint64
-	swaps     atomic.Int64
-	reindexer atomic.Pointer[reindexerBox]
+	be   backend
 
 	sem     chan struct{}
 	started time.Time
 
-	// ring is the cluster's consistent-hash ring; nil outside shard mode.
-	ring *shard.Ring
-
-	// latency holds one lock-free histogram per query endpoint, across
-	// generations (per-strategy histograms live in the generation).  The
-	// map is built in New and read-only afterwards, so concurrent handler
+	// latency holds one lock-free histogram per endpoint (per-strategy
+	// histograms live in the local backend's generation).  The map is built
+	// by the constructor and read-only afterwards, so concurrent handler
 	// access needs no lock.
 	latency map[string]*obs.Histogram
 
-	// Serving counters (engine-level counters live in the generation's
-	// Index.Stats()).
+	// Serving counters (engine-level counters live in the backend).
 	reqDescendants atomic.Int64
 	reqConnected   atomic.Int64
 	reqQuery       atomic.Int64
 	reqBatch       atomic.Int64
-	reqShardEval   atomic.Int64
-	tracedEvals    atomic.Int64
 	shed           atomic.Int64
 	notReady       atomic.Int64
 	timeouts       atomic.Int64
@@ -189,23 +206,24 @@ type Server struct {
 	// with its request position.  It is a test seam for expiring the batch
 	// deadline at a chosen point in the execution order.
 	batchItemHook func(int)
+
+	// The local backend's state: the serving generation (nil until the
+	// first Install; readiness answers 503 meanwhile), the re-optimizer
+	// and, in shard mode, the ring.  A server built by NewRouted leaves
+	// all of it zero.
+	gen          atomic.Pointer[generation]
+	genSeq       atomic.Uint64
+	swaps        atomic.Int64
+	reindexer    atomic.Pointer[reindexerBox]
+	ring         *shard.Ring
+	reqShardEval atomic.Int64
+	tracedEvals  atomic.Int64
 }
 
-// New wraps a built index as generation 1.  cfg zero-value fields take the
-// documented defaults.
-func New(ix *flix.Index, cfg Config) *Server {
-	s := NewPending(ix.Collection(), cfg)
-	s.Install(ix, "initial index")
-	return s
-}
-
-// NewPending returns a server with no index yet: /healthz reports 503 and
-// the query endpoints shed with 503 until Install delivers the first
-// generation.  It lets flixd bind its port and expose health immediately
-// while the initial build runs in the background.
-func NewPending(coll *xmlgraph.Collection, cfg Config) *Server {
+// newServer returns a front end with no backend yet.
+func newServer(coll *xmlgraph.Collection, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{
+	return &Server{
 		coll:    coll,
 		cfg:     cfg,
 		sem:     make(chan struct{}, cfg.MaxInFlight),
@@ -215,110 +233,8 @@ func NewPending(coll *xmlgraph.Collection, cfg Config) *Server {
 			"connected":   new(obs.Histogram),
 			"query":       new(obs.Histogram),
 			"batch":       new(obs.Histogram),
-			"shard_eval":  new(obs.Histogram),
 		},
 	}
-	if cfg.Shard != nil {
-		if cfg.Shard.Count < 1 || cfg.Shard.ID < 0 || cfg.Shard.ID >= cfg.Shard.Count {
-			panic(fmt.Sprintf("server: shard %d of %d is not a valid ring position", cfg.Shard.ID, cfg.Shard.Count))
-		}
-		s.ring = shard.NewRing(cfg.Shard.Count, cfg.Shard.VNodes)
-	}
-	return s
-}
-
-// Install atomically hot-swaps in a new index and returns its generation
-// number.  The index must be built over the server's collection.  In-flight
-// queries keep the generation they were admitted under; the new generation
-// starts with a fresh query cache and fresh per-strategy histograms.
-func (s *Server) Install(ix *flix.Index, reason string) uint64 {
-	if ix.Collection() != s.coll {
-		panic("server: Install with an index built over a different collection")
-	}
-	g := &generation{
-		num:          s.genSeq.Add(1),
-		ix:           ix,
-		stratLatency: make(map[string]*obs.Histogram),
-		installed:    time.Now(),
-		reason:       reason,
-	}
-	for name := range ix.StrategyCounts() {
-		g.stratLatency[name] = new(obs.Histogram)
-	}
-	s.initShard(g)
-	if s.cfg.CacheSize > 0 {
-		g.cache = ix.NewQueryCache(s.cfg.CacheSize)
-		g.cache.StoreBounded = true
-		// Take over the outgoing generation's working set before going
-		// live: the warming evaluations run here, on the installer's
-		// goroutine, so post-swap clients hit a warm cache instead of
-		// re-evaluating the whole hot set at once (the latency cliff a
-		// plain purge-on-swap would cause).
-		if old := s.gen.Load(); old != nil && old.cache != nil {
-			g.warmed = g.cache.Warm(old.cache.HotKeys(0), nil)
-		}
-	}
-	s.gen.Store(g)
-	if g.num > 1 {
-		s.swaps.Add(1)
-	}
-	return g.num
-}
-
-// Ready reports whether a generation is live.
-func (s *Server) Ready() bool { return s.gen.Load() != nil }
-
-// CurrentIndex returns the serving index, or nil before the first Install.
-// Together with Generation, StrategyLatency and Install it forms the
-// rebuild.Target surface the background re-optimizer works against.
-func (s *Server) CurrentIndex() *flix.Index {
-	if g := s.gen.Load(); g != nil {
-		return g.ix
-	}
-	return nil
-}
-
-// Generation returns the current generation number (0 before the first
-// Install).
-func (s *Server) Generation() uint64 {
-	if g := s.gen.Load(); g != nil {
-		return g.num
-	}
-	return 0
-}
-
-// Swaps returns how many hot-swaps have happened (installs past the first).
-func (s *Server) Swaps() int64 { return s.swaps.Load() }
-
-// StrategyLatency snapshots the current generation's per-strategy latency
-// histograms — the signal the re-optimizer uses to derive strategy
-// overrides.
-func (s *Server) StrategyLatency() map[string]obs.HistSnapshot {
-	g := s.gen.Load()
-	if g == nil {
-		return nil
-	}
-	out := make(map[string]obs.HistSnapshot, len(g.stratLatency))
-	for name, h := range g.stratLatency {
-		out[name] = h.Snapshot()
-	}
-	return out
-}
-
-// reindexerBox wraps the Reindexer interface value so it can sit behind an
-// atomic pointer: flixd installs it after the handler is already serving.
-type reindexerBox struct{ r Reindexer }
-
-// SetReindexer installs the background re-optimizer driving
-// POST /v1/admin/reindex.  Safe to call while the handler is serving.
-func (s *Server) SetReindexer(r Reindexer) { s.reindexer.Store(&reindexerBox{r: r}) }
-
-// getReindexer returns the installed re-optimizer, or nil.
-func (s *Server) getReindexer() Reindexer {
-	if b := s.reindexer.Load(); b != nil {
-		return b.r
-	}
-	return nil
 }
 
 // SetOntology installs the tag-similarity ontology used by /v1/query for
@@ -340,11 +256,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/connected", s.admit("connected", &s.reqConnected, s.handleConnected))
 	mux.HandleFunc("/v1/query", s.admit("query", &s.reqQuery, s.handleQuery))
 	mux.HandleFunc("/v1/batch", s.admit("batch", &s.reqBatch, s.handleBatch))
-	mux.HandleFunc("/v1/admin/reindex", s.handleReindex)
-	if s.cfg.Shard != nil {
-		mux.HandleFunc("/v1/shard/eval", s.handleShardEval)
-		mux.HandleFunc("/v1/shard/links", s.handleShardLinks)
-	}
+	s.be.routes(mux)
 	return s.withRequestID(s.logged(mux))
 }
 
@@ -353,9 +265,9 @@ func (s *Server) Handler() http.Handler {
 type reqInfo struct {
 	id          string
 	endpoint    string
-	strategy    string      // set by the handler once the start node is known
-	gen         *generation // serving generation captured at admission
-	trace       *obs.Trace  // non-nil when traced (?trace=1 or slow-query sample)
+	strategy    string      // set by the local backend once the start node is known
+	gen         *generation // local backend: serving generation captured at admission
+	trace       *obs.Trace  // local backend: non-nil when traced (?trace=1 or slow-query sample)
 	traceWanted bool        // client asked for the trace in the response
 }
 
@@ -391,20 +303,23 @@ func (s *Server) withRequestID(next http.Handler) http.Handler {
 	})
 }
 
-// admit wraps a query handler with the admission semaphore, the per-request
-// deadline, and the latency observation.  When the in-flight limit is hit
-// the request is shed immediately with 429 — shedding beats queueing under
-// overload because a queued query's deadline keeps ticking while it waits.
-func (s *Server) admit(endpoint string, counter *atomic.Int64, h func(http.ResponseWriter, *http.Request, context.Context)) http.HandlerFunc {
+// admit wraps a query handler with the backend's readiness and saturation
+// gate, the admission semaphore, the per-request deadline, and the latency
+// observation.  When the in-flight limit is hit the request is shed
+// immediately with 429 — shedding beats queueing under overload because a
+// queued query's deadline keeps ticking while it waits.
+func (s *Server) admit(endpoint string, counter *atomic.Int64, h func(http.ResponseWriter, *http.Request, context.Context, view)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		counter.Add(1)
-		// Readiness gate: before the first generation is installed there is
-		// nothing to query; answer 503 without consuming the semaphore.
-		g := s.gen.Load()
-		if g == nil {
-			s.notReady.Add(1)
+		// Refused requests do not consume the semaphore.
+		if code, msg := s.be.refuse(); code != 0 {
+			if code == http.StatusServiceUnavailable {
+				s.notReady.Add(1)
+			} else {
+				s.shed.Add(1)
+			}
 			w.Header().Set("Retry-After", "1")
-			s.fail(w, http.StatusServiceUnavailable, "index not ready: initial build in flight")
+			s.fail(w, code, msg)
 			return
 		}
 		select {
@@ -426,16 +341,12 @@ func (s *Server) admit(endpoint string, counter *atomic.Int64, h func(http.Respo
 		}
 		ri := reqInfoFrom(r.Context())
 		ri.endpoint = endpoint
-		ri.gen = g
 		ri.traceWanted = boolParam(r.URL.Query().Get("trace"))
-		if ri.traceWanted || s.sampleSlow() {
-			ri.trace = obs.NewTrace(s.cfg.TraceEventLimit)
-			ri.trace.SetGeneration(g.num)
-		}
 		ctx, cancel := context.WithTimeout(r.Context(), timeout)
 		defer cancel()
+		v := s.be.open(ctx, ri, s.sampleSlow())
 		t0 := time.Now()
-		h(w, r, ctx)
+		h(w, r, ctx, v)
 		s.observe(ri, time.Since(t0))
 	}
 }
@@ -476,16 +387,6 @@ func (s *Server) observe(ri *reqInfo, elapsed time.Duration) {
 	}
 }
 
-// genFor returns the generation a request was admitted under, falling back
-// to the live pointer for handlers invoked without the admit wrapper
-// (direct tests).
-func (s *Server) genFor(ctx context.Context) *generation {
-	if ri := reqInfoFrom(ctx); ri.gen != nil {
-		return ri.gen
-	}
-	return s.gen.Load()
-}
-
 // expired reports whether the request deadline passed during handling.  It
 // also compares against the wall clock: a deadline can pass after the last
 // evaluator check but before the timer goroutine closes Done, and the
@@ -496,6 +397,15 @@ func expired(ctx context.Context) bool {
 	}
 	dl, ok := ctx.Deadline()
 	return ok && !time.Now().Before(dl)
+}
+
+// timedOut is expired, counting the request as timed out.
+func (s *Server) timedOut(ctx context.Context) bool {
+	if !expired(ctx) {
+		return false
+	}
+	s.timeouts.Add(1)
+	return true
 }
 
 // timeoutFor derives the request deadline from ?timeout= (a Go duration
@@ -578,7 +488,7 @@ func snippet(t string) string {
 // handleDescendants answers GET /v1/descendants?start=<doc|node>&tag=<tag>
 // [&k=][&maxdist=][&self=1][&order=exact][&timeout=].  An empty tag is the
 // wildcard start//*.
-func (s *Server) handleDescendants(w http.ResponseWriter, r *http.Request, ctx context.Context) {
+func (s *Server) handleDescendants(w http.ResponseWriter, r *http.Request, ctx context.Context, v view) {
 	q := r.URL.Query()
 	start, err := s.resolveNode(q.Get("start"))
 	if err != nil {
@@ -595,46 +505,31 @@ func (s *Server) handleDescendants(w http.ResponseWriter, r *http.Request, ctx c
 		s.fail(w, http.StatusBadRequest, "bad maxdist: "+err.Error())
 		return
 	}
-	ri := reqInfoFrom(ctx)
-	g := s.genFor(ctx)
-	ri.strategy = g.ix.StrategyAt(start)
 	opts := flix.Options{
 		MaxResults:  k,
 		MaxDist:     int32(maxDist),
 		IncludeSelf: boolParam(q.Get("self")),
 		ExactOrder:  q.Get("order") == "exact",
 		Cancel:      ctx.Done(),
-		Tracer:      ri.trace,
+		Tracer:      reqInfoFrom(ctx).trace,
 	}
 	results := make([]nodeJSON, 0, 16)
-	emit := func(res flix.Result) bool {
+	v.descendants(start, q.Get("tag"), opts, func(res flix.Result) bool {
 		results = append(results, s.nodeJSON(res.Node, res.Dist))
 		return true
-	}
-	if g.cache != nil {
-		g.cache.Descendants(start, q.Get("tag"), opts, emit)
-	} else {
-		g.ix.Descendants(start, q.Get("tag"), opts, emit)
-	}
-	timedOut := expired(ctx)
-	if timedOut {
-		s.timeouts.Add(1)
-	}
+	})
 	resp := map[string]any{
-		"results":    results,
-		"count":      len(results),
-		"timedOut":   timedOut,
-		"generation": g.num,
+		"results":  results,
+		"count":    len(results),
+		"timedOut": s.timedOut(ctx),
 	}
-	if ri.traceWanted && ri.trace != nil {
-		resp["trace"] = ri.trace.Summary(true)
-	}
+	v.finish(w, resp, int64(len(results)), nil)
 	s.ok(w, resp)
 }
 
 // handleConnected answers GET /v1/connected?from=<doc|node>&to=<doc|node>
 // [&maxdist=][&timeout=].
-func (s *Server) handleConnected(w http.ResponseWriter, r *http.Request, ctx context.Context) {
+func (s *Server) handleConnected(w http.ResponseWriter, r *http.Request, ctx context.Context, v view) {
 	q := r.URL.Query()
 	from, err := s.resolveNode(q.Get("from"))
 	if err != nil {
@@ -651,25 +546,21 @@ func (s *Server) handleConnected(w http.ResponseWriter, r *http.Request, ctx con
 		s.fail(w, http.StatusBadRequest, "bad maxdist: "+err.Error())
 		return
 	}
-	ri := reqInfoFrom(ctx)
-	g := s.genFor(ctx)
-	ri.strategy = g.ix.StrategyAt(from)
-	dist, ok := g.ix.ConnectedOpts(from, to, flix.Options{MaxDist: int32(maxDist), Cancel: ctx.Done(), Tracer: ri.trace})
-	timedOut := expired(ctx)
-	if timedOut {
-		s.timeouts.Add(1)
-	}
-	resp := map[string]any{"connected": ok, "timedOut": timedOut, "generation": g.num}
+	dist, ok := v.connected(from, to, flix.Options{MaxDist: int32(maxDist), Cancel: ctx.Done(), Tracer: reqInfoFrom(ctx).trace})
+	resp := map[string]any{"connected": ok, "timedOut": s.timedOut(ctx)}
+	var n int64
 	if ok {
 		resp["dist"] = dist
+		n = 1
 	}
+	v.finish(w, resp, n, nil)
 	s.ok(w, resp)
 }
 
 // handleQuery answers GET /v1/query?q=<expr>[&k=][&timeout=]: ranked path
 // expressions with structural and (when an ontology is installed) semantic
 // vagueness.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, ctx context.Context) {
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, ctx context.Context, v view) {
 	expr := r.URL.Query().Get("q")
 	if expr == "" {
 		s.fail(w, http.StatusBadRequest, "missing q parameter")
@@ -685,20 +576,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, ctx context
 		s.fail(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	ri := reqInfoFrom(ctx)
-	g := s.genFor(ctx)
 	eval := &query.Evaluator{
-		Index:      g.ix,
+		Index:      v.index(),
 		Ontology:   s.onto,
 		MaxResults: k,
 		Cancel:     ctx.Done(),
-		Tracer:     ri.trace,
+		Tracer:     reqInfoFrom(ctx).trace,
 	}
 	matches := eval.EvaluateTopK(pq, k)
-	timedOut := expired(ctx)
-	if timedOut {
-		s.timeouts.Add(1)
-	}
 	type matchJSON struct {
 		nodeJSON
 		Score   float64 `json:"score"`
@@ -713,243 +598,46 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, ctx context
 		})
 	}
 	resp := map[string]any{
-		"results":    out,
-		"count":      len(out),
-		"timedOut":   timedOut,
-		"truncated":  eval.Stats.Truncated,
-		"generation": g.num,
+		"results":   out,
+		"count":     len(out),
+		"timedOut":  s.timedOut(ctx),
+		"truncated": eval.Stats.Truncated,
 	}
-	if ri.traceWanted && ri.trace != nil {
-		resp["trace"] = ri.trace.Summary(true)
-	}
+	v.finish(w, resp, int64(len(out)), &eval.Stats)
 	s.ok(w, resp)
 }
 
-// handleHealthz reports readiness, not just liveness: before the first
-// index generation is installed the process is alive but cannot answer a
-// single query, and a load balancer must not send it traffic — hence 503
-// until Install delivers generation 1.
+// handleHealthz reports readiness, not just liveness: a process whose
+// backend cannot answer a single query yet (no index generation, no shard
+// quorum) is alive, but a load balancer must not send it traffic — hence
+// 503 until the backend is ready.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	g := s.gen.Load()
-	if g == nil {
-		w.Header().Set("Retry-After", "1")
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(map[string]any{ //nolint:errcheck
-			"status":      "starting",
-			"ready":       false,
-			"inFlight":    s.InFlight(),
-			"maxInFlight": s.cfg.MaxInFlight,
-			"uptime":      time.Since(s.started).Round(time.Millisecond).String(),
-		})
-		return
-	}
 	body := map[string]any{
-		"status":      "ok",
-		"ready":       true,
-		"generation":  g.num,
-		"swaps":       s.swaps.Load(),
 		"inFlight":    s.InFlight(),
 		"maxInFlight": s.cfg.MaxInFlight,
 		"uptime":      time.Since(s.started).Round(time.Millisecond).String(),
 	}
-	// In shard mode the router's prober reads the ring position and the
-	// decomposition fingerprint from here on every probe.
-	if s.cfg.Shard != nil && g.shard != nil {
-		body["shard"] = map[string]any{
-			"id":          s.cfg.Shard.ID,
-			"count":       s.cfg.Shard.Count,
-			"fingerprint": g.shard.fingerprint,
-		}
+	ready := s.be.healthz(body)
+	body["ready"] = ready
+	if !ready {
+		w.Header().Set("Retry-After", "1")
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusServiceUnavailable)
 	}
 	s.ok(w, body)
 }
 
-// handleStatsz reports the engine's query-load statistics, the §7
-// self-tuning advice for the live load, cache effectiveness and the
-// serving-layer counters in one JSON document.
+// handleStatsz reports the backend's statistics and the serving counters
+// in one JSON document.
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	g := s.gen.Load()
-	if g == nil {
-		s.ok(w, map[string]any{
-			"ready": false,
-			"server": map[string]any{
-				"notReady": s.notReady.Load(),
-				"uptime":   time.Since(s.started).Round(time.Millisecond).String(),
-			},
-		})
-		return
-	}
-	snap := g.ix.Stats().Snapshot()
-	advice := g.ix.Advise()
-	resp := map[string]any{
-		"generation": map[string]any{
-			"current":       g.num,
-			"installedAt":   g.installed.Format(time.RFC3339Nano),
-			"reason":        g.reason,
-			"swaps":         s.swaps.Load(),
-			"warmedQueries": g.warmed,
-		},
-		"index": map[string]any{
-			"config":        g.ix.Config().Kind.String(),
-			"metaDocuments": g.ix.NumMetaDocuments(),
-			"runtimeLinks":  g.ix.RuntimeLinks(),
-			"strategies":    g.ix.StrategyCounts(),
-			"storage":       storageJSON(g.ix.StorageInfo()),
-		},
-		"queryStats": map[string]any{
-			"queries":          snap.Queries,
-			"pops":             snap.Pops,
-			"entries":          snap.Entries,
-			"dupDropped":       snap.DupDropped,
-			"linkHops":         snap.LinkHops,
-			"results":          snap.Results,
-			"entriesPerQuery":  snap.EntriesPerQuery(),
-			"linkHopsPerQuery": snap.LinkHopsPerQuery(),
-			"dupDropRatio":     snap.DupDropRatio(),
-		},
-		"latency": s.latencyJSON(g),
-		"build":   buildJSON(g.ix),
-		"advice": map[string]any{
-			"rebuild": advice.Rebuild,
-			"reason":  advice.Reason,
-		},
-		"server": map[string]any{
-			"inFlight":    s.InFlight(),
-			"maxInFlight": s.cfg.MaxInFlight,
-			"shed":        s.shed.Load(),
-			"notReady":    s.notReady.Load(),
-			"timeouts":    s.timeouts.Load(),
-			"slowQueries": s.slowQueries.Load(),
-			"requests": map[string]int64{
-				"descendants": s.reqDescendants.Load(),
-				"connected":   s.reqConnected.Load(),
-				"query":       s.reqQuery.Load(),
-				"batch":       s.reqBatch.Load(),
-			},
-		},
-	}
-	if advice.Rebuild {
-		resp["advice"].(map[string]any)["config"] = map[string]any{
-			"kind":          advice.Config.Kind.String(),
-			"partitionSize": advice.Config.PartitionSize,
-		}
-	}
-	if rx := s.getReindexer(); rx != nil {
-		resp["reindex"] = rx.Status()
-	}
-	if sh := s.shardStatsz(g); sh != nil {
-		resp["shard"] = sh
-	}
-	if g.cache != nil {
-		hits, misses := g.cache.Counts()
-		resp["cache"] = map[string]any{
-			"entries": g.cache.Len(),
-			"hits":    hits,
-			"misses":  misses,
-			"hitRate": g.cache.HitRate(),
-		}
-	}
-	s.ok(w, resp)
+	s.ok(w, s.be.statsz())
 }
 
-// storageJSON renders how the serving index is backed — "heap" for a
-// built generation, "v1"/"v2" for restored ones, with the mapping size
-// when the v2 container is served via mmap and a per-section-kind byte
-// breakdown (with compression ratios) for snapshot-backed generations.
-func storageJSON(si flix.StorageInfo) map[string]any {
-	out := map[string]any{"format": si.Format, "mapped": si.Mapped}
-	if si.Mapped {
-		out["mappedBytes"] = si.MappedBytes
-	}
-	if si.SizeBytes > 0 {
-		out["sizeBytes"] = si.SizeBytes
-	}
-	if si.Sections != nil {
-		out["compressed"] = si.Compressed
-		secs := make([]map[string]any, 0, len(si.Sections))
-		for _, st := range si.Sections {
-			sec := map[string]any{
-				"kind":     st.Kind,
-				"sections": st.Sections,
-				"bytes":    st.Bytes,
-			}
-			if st.RawBytes > 0 {
-				sec["rawBytes"] = st.RawBytes
-				sec["ratio"] = math.Round(st.Ratio*100) / 100
-			}
-			secs = append(secs, sec)
-		}
-		out["sections"] = secs
-	}
-	return out
-}
-
-// latencyJSON summarizes the per-endpoint and the generation's per-strategy
-// latency histograms for /statsz.
-func (s *Server) latencyJSON(g *generation) map[string]any {
-	summ := func(hs map[string]*obs.Histogram) map[string]any {
-		out := make(map[string]any, len(hs))
-		for name, h := range hs {
-			sn := h.Snapshot()
-			if sn.Count == 0 {
-				continue
-			}
-			out[name] = map[string]any{
-				"count": sn.Count,
-				"mean":  sn.Mean().Round(time.Microsecond).String(),
-				"p50":   sn.Quantile(0.50).Round(time.Microsecond).String(),
-				"p95":   sn.Quantile(0.95).Round(time.Microsecond).String(),
-				"p99":   sn.Quantile(0.99).Round(time.Microsecond).String(),
-			}
-		}
-		return out
-	}
-	return map[string]any{
-		"endpoints":  summ(s.latency),
-		"strategies": summ(g.stratLatency),
-	}
-}
-
-// buildJSON renders the build-phase timings for /statsz, plus the on-disk
-// size of the generation in its persisted form.
-func buildJSON(ix *flix.Index) map[string]any {
-	bs := ix.BuildStats()
-	strategies := make(map[string]any, len(bs.Strategies))
-	for name, sb := range bs.Strategies {
-		strategies[name] = map[string]any{
-			"metaDocuments": sb.Metas,
-			"total":         sb.Total.Round(time.Microsecond).String(),
-			"max":           sb.Max.Round(time.Microsecond).String(),
-		}
-	}
-	workers := make([]map[string]any, 0, len(bs.Workers))
-	for _, wb := range bs.Workers {
-		workers = append(workers, map[string]any{
-			"metaDocuments": wb.Metas,
-			"busy":          wb.Busy.Round(time.Microsecond).String(),
-		})
-	}
-	out := map[string]any{
-		"partition":   bs.Partition.Round(time.Microsecond).String(),
-		"select":      bs.Select.Round(time.Microsecond).String(),
-		"indexBuild":  bs.IndexBuild.Round(time.Microsecond).String(),
-		"parallelism": bs.Parallelism,
-		"workers":     workers,
-		"strategies":  strategies,
-	}
-	if sz, err := ix.SizeBytes(); err == nil {
-		out["sizeBytes"] = sz
-	}
-	return out
-}
-
-// ok writes a 200 JSON response.
+// ok writes a 200 JSON response.  The encoding is compact: indentation
+// cost more CPU than evaluation on the served descendants path.
 func (s *Server) ok(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone; nothing to do
 }
 
 // fail writes an error JSON response.

@@ -81,7 +81,6 @@ func newCluster(t *testing.T, coll *xmlgraph.Collection, ix *flix.Index, n int, 
 		ShardTimeout:  5 * time.Second,
 		Retries:       retries,
 		RetryBackoff:  time.Millisecond,
-		MaxLimit:      1 << 20,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +95,7 @@ func newCluster(t *testing.T, coll *xmlgraph.Collection, ix *flix.Index, n int, 
 		t.Fatalf("router never became ready: %v", err)
 	}
 	c.rt = rt
-	c.router = httptest.NewServer(rt.Handler())
+	c.router = httptest.NewServer(server.NewRouted(rt, server.Config{MaxLimit: 1 << 20}).Handler())
 	t.Cleanup(c.router.Close)
 	return c
 }
@@ -444,7 +443,7 @@ func TestRouterQuorumReadiness(t *testing.T) {
 	if strict.Ready() {
 		t.Fatal("quorum=all router reports ready with a dead shard")
 	}
-	ts := httptest.NewServer(strict.Handler())
+	ts := httptest.NewServer(server.NewRouted(strict, server.Config{}).Handler())
 	t.Cleanup(ts.Close)
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
@@ -517,7 +516,7 @@ func TestRequestIDPropagation(t *testing.T) {
 	if err := rt.WaitReady(wctx); err != nil {
 		t.Fatal(err)
 	}
-	rts := httptest.NewServer(rt.Handler())
+	rts := httptest.NewServer(server.NewRouted(rt, server.Config{}).Handler())
 	t.Cleanup(rts.Close)
 
 	do := func(id string) (string, string) {

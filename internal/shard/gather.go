@@ -3,11 +3,13 @@ package shard
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/flix"
 	"repro/internal/obs"
+	"repro/internal/query"
 	"repro/internal/xmlgraph"
 )
 
@@ -336,24 +338,40 @@ func sortedShardIDs(failed map[int]bool) []int {
 	return out
 }
 
-// routerBackend adapts the scatter-gather evaluator to query.Backend, so
-// the unchanged ranked evaluator (internal/query) runs its //-step scans
-// across the cluster.  It is used by one request goroutine at a time.
-type routerBackend struct {
-	rt        *Router
-	ctx       context.Context
-	reqID     string
-	tb        *traceBuilder // non-nil for ?trace=1 ranked queries
-	partial   bool
-	failedSet map[int]bool
-	failed    []int
+// Call is one request's handle on the cluster.  It implements
+// query.Backend, so the unchanged ranked evaluator (internal/query) runs its
+// //-step scans across the cluster, and it accumulates what the request's
+// gathers report: partial answers, failed shards and rounds.  It is used by
+// one request goroutine at a time.
+type Call struct {
+	rt       *Router
+	ctx      context.Context
+	reqID    string
+	tb       *traceBuilder // non-nil for ?trace=1 requests
+	partials int
+	failed   []int // sorted
+	rounds   int
 }
 
-func (b *routerBackend) Collection() *xmlgraph.Collection { return b.rt.coll }
+// NewCall starts a request's gathers under ctx (the request deadline).
+// reqID is forwarded to every shard RPC; traced runs them under distributed
+// tracing, with endpoint naming the trace's root span.
+func (rt *Router) NewCall(ctx context.Context, reqID, endpoint string, traced bool) *Call {
+	c := &Call{rt: rt, ctx: ctx, reqID: reqID}
+	if traced {
+		rt.tracedQueries.Add(1)
+		c.tb = newTraceBuilder(reqID, endpoint, len(rt.shards))
+	}
+	return c
+}
 
-func (b *routerBackend) Descendants(start xmlgraph.NodeID, tag string, opts flix.Options, fn flix.Emit) {
-	g := b.rt.gatherDescendants(b.ctx, b.reqID, start, tag, opts.MaxDist, opts.MaxResults, opts.IncludeSelf, b.tb)
-	b.merge(g)
+func (c *Call) Collection() *xmlgraph.Collection { return c.rt.coll }
+
+// Descendants gathers start//tag and emits at most opts.MaxResults results
+// in (dist, node) order.
+func (c *Call) Descendants(start xmlgraph.NodeID, tag string, opts flix.Options, fn flix.Emit) {
+	g := c.rt.gatherDescendants(c.ctx, c.reqID, start, tag, opts.MaxDist, opts.MaxResults, opts.IncludeSelf, c.tb)
+	c.merge(g)
 	emitted := 0
 	for _, e := range g.results {
 		if opts.MaxResults > 0 && emitted >= opts.MaxResults {
@@ -366,23 +384,62 @@ func (b *routerBackend) Descendants(start xmlgraph.NodeID, tag string, opts flix
 	}
 }
 
-// Ancestors is intentionally a no-op: the router does not enable
+// Ancestors is intentionally a no-op: the front end does not enable
 // InverseScore, so the ranked evaluator never calls it.
-func (b *routerBackend) Ancestors(start xmlgraph.NodeID, tag string, opts flix.Options, fn flix.Emit) {
+func (c *Call) Ancestors(start xmlgraph.NodeID, tag string, opts flix.Options, fn flix.Emit) {
 }
 
-func (b *routerBackend) merge(g gatherOut) {
+// Connected gathers from//tag(to) with an early stop once to's distance is
+// final.
+func (c *Call) Connected(from, to xmlgraph.NodeID, maxDist int32) (int32, bool) {
+	if from == to {
+		return 0, true
+	}
+	g := c.rt.gather(c.ctx, c.reqID, []flix.FrontierEntry{{Node: from, Dist: 0}},
+		c.rt.coll.Tag(to), maxDist, 0, to, c.tb)
+	c.merge(g)
+	for _, e := range g.results {
+		if e.Node == to {
+			return e.Dist, true
+		}
+	}
+	return 0, false
+}
+
+// Partials counts the call's gathers that returned a partial answer.
+func (c *Call) Partials() int { return c.partials }
+
+// FailedShards lists, sorted, the shards that dropped frontier batches
+// during any of the call's gathers (nil when none did).
+func (c *Call) FailedShards() []int { return c.failed }
+
+// Rounds sums the scatter-gather rounds of the call's gathers.
+func (c *Call) Rounds() int { return c.rounds }
+
+// Trace folds the call's distributed trace into one ClusterTrace, or
+// returns nil for an untraced call.  st, when non-nil, is the ranked
+// evaluator's work shape; it rides on the root span, with each //-step scan
+// one gather child beneath it.
+func (c *Call) Trace(results int64, st *query.EvalStats) *obs.ClusterTrace {
+	if c.tb == nil {
+		return nil
+	}
+	if st != nil {
+		c.tb.root.SetAttr("steps", int64(st.Steps))
+		c.tb.root.SetAttr("scans", int64(st.Scans))
+		c.tb.root.SetAttr("anchored", int64(st.Anchored))
+	}
+	return c.tb.finish(results, c.partials > 0, c.failed)
+}
+
+func (c *Call) merge(g gatherOut) {
+	c.rounds += g.rounds
 	if g.partial {
-		b.partial = true
+		c.partials++
 	}
 	for _, sh := range g.failed {
-		if b.failedSet == nil {
-			b.failedSet = make(map[int]bool)
-		}
-		if !b.failedSet[sh] {
-			b.failedSet[sh] = true
-			b.failed = append(b.failed, sh)
-			sort.Ints(b.failed)
+		if i, found := slices.BinarySearch(c.failed, sh); !found {
+			c.failed = slices.Insert(c.failed, i, sh)
 		}
 	}
 }

@@ -6,9 +6,10 @@ import (
 	"repro/internal/xmlgraph"
 )
 
-// This file defines the wire protocol between the router and the shards.
-// Both sides import it (internal/server implements the shard endpoints), so
-// the JSON shapes have exactly one definition.
+// This file defines the wire protocol between the router and the shards,
+// and the batch shapes of the one HTTP front end.  Both sides import it
+// (internal/server implements the shard endpoints and serves the router),
+// so the JSON shapes have exactly one definition.
 
 // RequestIDHeader carries the router's request ID to every shard RPC a
 // query fans out into, so one query's hops correlate across the access logs

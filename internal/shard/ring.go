@@ -10,6 +10,9 @@
 // localizes all index structure per meta document and resolves everything
 // that crosses them through runtime links, so a shard can answer its share
 // of the frontier exactly, and only the hops travel.
+//
+// The package has no HTTP front end of its own: internal/server serves a
+// Router through the same front end flixd uses, one Call per request.
 package shard
 
 import (

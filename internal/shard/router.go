@@ -2,25 +2,20 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
-	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/flix"
 	"repro/internal/obs"
-	"repro/internal/ontology"
-	"repro/internal/query"
 	"repro/internal/xmlgraph"
 )
 
 // RouterConfig tunes the scatter-gather router.  Shards is required; zero
-// values elsewhere take the documented defaults.
+// values elsewhere take the documented defaults.  Admission, deadlines and
+// result limits belong to the HTTP front end (internal/server) that serves
+// the router.
 type RouterConfig struct {
 	// Shards lists the shard base URLs; shard i of the ring is Shards[i].
 	Shards []string
@@ -35,20 +30,6 @@ type RouterConfig struct {
 	// HopBudget bounds the cross-shard hop entries dispatched per query;
 	// exhausting it returns a partial result.  Default 100000.
 	HopBudget int
-	// MaxInFlight bounds concurrently evaluating queries (excess sheds
-	// with 429).  Default 64.
-	MaxInFlight int
-	// DefaultTimeout / MaxTimeout mirror the single-node server's
-	// per-request deadline handling.  Defaults 2s / 30s.
-	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
-	// DefaultLimit / MaxLimit mirror the single-node result limits.
-	// Defaults 100 / 10000.
-	DefaultLimit int
-	MaxLimit     int
-	// MaxBatch caps the number of queries in one POST /v1/batch request.
-	// Default 256.
-	MaxBatch int
 	// ShardTimeout bounds each shard RPC attempt.  Default 10s.
 	ShardTimeout time.Duration
 	// Retries / RetryBackoff tune the shard client.  Defaults 2 / 25ms.
@@ -56,7 +37,8 @@ type RouterConfig struct {
 	RetryBackoff time.Duration
 	// ProbeInterval is the health-probe cadence.  Default 1s.
 	ProbeInterval time.Duration
-	// Logger receives access-log lines and prober events.  Nil disables.
+	// Logger receives prober events and dropped-shard notices.  Nil
+	// disables.
 	Logger *log.Logger
 }
 
@@ -69,24 +51,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	}
 	if c.HopBudget <= 0 {
 		c.HopBudget = 100000
-	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 64
-	}
-	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 2 * time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 30 * time.Second
-	}
-	if c.DefaultLimit <= 0 {
-		c.DefaultLimit = 100
-	}
-	if c.MaxLimit <= 0 {
-		c.MaxLimit = 10000
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
 	}
 	if c.ShardTimeout <= 0 {
 		c.ShardTimeout = 10 * time.Second
@@ -139,12 +103,11 @@ func (st *shardState) errString() string {
 }
 
 // Router fans queries out over a fixed set of flixd shards and merges the
-// per-shard streams back into single-node-shaped responses.  It owns no
-// index — only the collection (for node resolution and result rendering)
-// and the ring.
+// per-shard streams back into single-node-shaped results.  It owns no index
+// — only the collection (for node resolution) and the ring — and no HTTP
+// front end: internal/server serves it through a per-request Call.
 type Router struct {
 	coll   *xmlgraph.Collection
-	onto   *ontology.Ontology
 	cfg    RouterConfig
 	client *Client
 	ring   *Ring
@@ -152,21 +115,7 @@ type Router struct {
 	topo   atomic.Pointer[topology]
 	shards []*shardState
 
-	sem     chan struct{}
-	started time.Time
-
-	latency      map[string]*obs.Histogram
 	shardLatency []*obs.Histogram
-
-	reqSeq         atomic.Uint64
-	reqDescendants atomic.Int64
-	reqConnected   atomic.Int64
-	reqQuery       atomic.Int64
-	reqBatch       atomic.Int64
-	shed           atomic.Int64
-	notReady       atomic.Int64
-	timeouts       atomic.Int64
-	clientErrors   atomic.Int64
 
 	fanouts          atomic.Int64
 	gathers          atomic.Int64
@@ -197,15 +146,7 @@ func NewRouter(coll *xmlgraph.Collection, cfg RouterConfig) (*Router, error) {
 			Retries: cfg.Retries,
 			Backoff: cfg.RetryBackoff,
 		}),
-		ring:    NewRing(len(cfg.Shards), cfg.VNodes),
-		sem:     make(chan struct{}, cfg.MaxInFlight),
-		started: time.Now(),
-		latency: map[string]*obs.Histogram{
-			"descendants": new(obs.Histogram),
-			"connected":   new(obs.Histogram),
-			"query":       new(obs.Histogram),
-			"batch":       new(obs.Histogram),
-		},
+		ring: NewRing(len(cfg.Shards), cfg.VNodes),
 	}
 	rt.shards = make([]*shardState, len(cfg.Shards))
 	rt.shardLatency = make([]*obs.Histogram, len(cfg.Shards))
@@ -216,9 +157,18 @@ func NewRouter(coll *xmlgraph.Collection, cfg RouterConfig) (*Router, error) {
 	return rt, nil
 }
 
-// SetOntology installs the tag-similarity ontology for /v1/query ~tag
-// expansion.  Must be called before Handler.
-func (rt *Router) SetOntology(o *ontology.Ontology) { rt.onto = o }
+// Collection returns the collection the router resolves and renders nodes
+// against.
+func (rt *Router) Collection() *xmlgraph.Collection { return rt.coll }
+
+// MetaOf returns n's meta document in the loaded topology (0 before the
+// topology loads).
+func (rt *Router) MetaOf(n xmlgraph.NodeID) int32 {
+	if topo := rt.topo.Load(); topo != nil && int(n) < len(topo.metaOf) {
+		return topo.metaOf[n]
+	}
+	return 0
+}
 
 // Start launches the health prober; it probes immediately, then every
 // ProbeInterval until ctx is cancelled.
@@ -391,6 +341,15 @@ func (rt *Router) Ready() bool {
 	return rt.topo.Load() != nil && rt.readyShards() >= rt.cfg.Quorum
 }
 
+// NotReady returns why the router cannot serve yet, or "" once it can.
+func (rt *Router) NotReady() string {
+	if rt.Ready() {
+		return ""
+	}
+	return fmt.Sprintf("router not ready: %d/%d shards up (quorum %d)",
+		rt.readyShards(), len(rt.shards), rt.cfg.Quorum)
+}
+
 // WaitReady blocks until the router is ready or ctx expires.
 func (rt *Router) WaitReady(ctx context.Context) error {
 	t := time.NewTicker(10 * time.Millisecond)
@@ -407,10 +366,10 @@ func (rt *Router) WaitReady(ctx context.Context) error {
 	}
 }
 
-// saturatedCluster reports whether every ready shard is at its admission
-// limit — the backpressure signal: fanning out another query would only get
-// 429s from the shards, so the router sheds it at its own door.
-func (rt *Router) saturatedCluster() bool {
+// Saturated reports whether every ready shard is at its admission limit —
+// the backpressure signal: fanning out another query would only get 429s
+// from the shards, so the front end sheds it at its own door.
+func (rt *Router) Saturated() bool {
 	anyReady := false
 	for _, st := range rt.shards {
 		if !st.ready.Load() {
@@ -422,44 +381,6 @@ func (rt *Router) saturatedCluster() bool {
 		}
 	}
 	return anyReady
-}
-
-// Handler returns the router's HTTP handler.
-func (rt *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", rt.handleHealthz)
-	mux.HandleFunc("/statsz", rt.handleStatsz)
-	mux.HandleFunc("/metrics", rt.handleMetrics)
-	mux.HandleFunc("/v1/descendants", rt.admit("descendants", &rt.reqDescendants, rt.handleDescendants))
-	mux.HandleFunc("/v1/connected", rt.admit("connected", &rt.reqConnected, rt.handleConnected))
-	mux.HandleFunc("/v1/query", rt.admit("query", &rt.reqQuery, rt.handleQuery))
-	mux.HandleFunc("/v1/batch", rt.admit("batch", &rt.reqBatch, rt.handleBatch))
-	return rt.withRequestID(rt.logged(mux))
-}
-
-type ctxKey int
-
-const reqIDKey ctxKey = 0
-
-// requestIDFrom returns the request's ID ("" for handlers invoked without
-// the middleware).
-func requestIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(reqIDKey).(string)
-	return id
-}
-
-// withRequestID reuses a syntactically valid incoming X-Flix-Request-Id —
-// so a caller's ID correlates router and shard logs — or assigns a fresh
-// one, and propagates it into the context for the gather loop's shard RPCs.
-func (rt *Router) withRequestID(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := SanitizeRequestID(r.Header.Get(RequestIDHeader))
-		if id == "" {
-			id = fmt.Sprintf("%08x", rt.reqSeq.Add(1))
-		}
-		w.Header().Set(RequestIDHeader, id)
-		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), reqIDKey, id)))
-	})
 }
 
 // SanitizeRequestID validates a client-supplied request ID: 1..64 chars of
@@ -478,376 +399,4 @@ func SanitizeRequestID(raw string) string {
 		}
 	}
 	return raw
-}
-
-// admit wraps a handler with the readiness gate, cluster backpressure, the
-// admission semaphore and the per-request deadline — the single-node
-// server's admission pipeline with one extra stage (shard saturation).
-func (rt *Router) admit(endpoint string, counter *atomic.Int64, h func(http.ResponseWriter, *http.Request, context.Context)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		counter.Add(1)
-		if !rt.Ready() {
-			rt.notReady.Add(1)
-			w.Header().Set("Retry-After", "1")
-			rt.fail(w, http.StatusServiceUnavailable,
-				fmt.Sprintf("router not ready: %d/%d shards up (quorum %d)",
-					rt.readyShards(), len(rt.shards), rt.cfg.Quorum))
-			return
-		}
-		if rt.saturatedCluster() {
-			rt.shed.Add(1)
-			w.Header().Set("Retry-After", "1")
-			rt.fail(w, http.StatusTooManyRequests, "all shards at capacity, retry later")
-			return
-		}
-		select {
-		case rt.sem <- struct{}{}:
-			defer func() { <-rt.sem }()
-		default:
-			rt.shed.Add(1)
-			w.Header().Set("Retry-After", "1")
-			rt.fail(w, http.StatusTooManyRequests, "router at capacity, retry later")
-			return
-		}
-		timeout, err := rt.timeoutFor(r)
-		if err != nil {
-			rt.fail(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
-		defer cancel()
-		t0 := time.Now()
-		h(w, r, ctx)
-		if hg := rt.latency[endpoint]; hg != nil {
-			hg.Observe(time.Since(t0))
-		}
-	}
-}
-
-// handleDescendants answers GET /v1/descendants with the single-node wire
-// shape plus the partial-results contract: "partial" and "failedShards" in
-// the body, X-Flix-Shards-Failed on the response.
-func (rt *Router) handleDescendants(w http.ResponseWriter, r *http.Request, ctx context.Context) {
-	q := r.URL.Query()
-	start, err := rt.resolveNode(q.Get("start"))
-	if err != nil {
-		rt.fail(w, http.StatusNotFound, "start: "+err.Error())
-		return
-	}
-	k, err := rt.limitFor(r)
-	if err != nil {
-		rt.fail(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	maxDist, err := intParam(q.Get("maxdist"), 0)
-	if err != nil {
-		rt.fail(w, http.StatusBadRequest, "bad maxdist: "+err.Error())
-		return
-	}
-	includeSelf := boolParam(q.Get("self"))
-	tb := rt.traceFor(r, ctx, "descendants")
-	g := rt.gatherDescendants(ctx, requestIDFrom(ctx), start, q.Get("tag"), int32(maxDist), k, includeSelf, tb)
-	timedOut := expired(ctx)
-	if timedOut {
-		rt.timeouts.Add(1)
-	}
-	results := make([]nodeJSON, 0, min(len(g.results), k))
-	for _, e := range g.results {
-		if len(results) >= k {
-			break
-		}
-		results = append(results, rt.nodeJSON(e.Node, e.Dist))
-	}
-	rt.setPartialHeader(w, g)
-	resp := map[string]any{
-		"results":      results,
-		"count":        len(results),
-		"timedOut":     timedOut,
-		"partial":      g.partial,
-		"failedShards": g.failed,
-		"rounds":       g.rounds,
-	}
-	if tb != nil {
-		resp["trace"] = tb.finish(int64(len(results)), g.partial, g.failed)
-	}
-	rt.ok(w, resp)
-}
-
-// traceFor starts a cluster trace when the request asked for one with
-// ?trace=1.  nil (the common case) keeps the gather loop on its untraced
-// path.
-func (rt *Router) traceFor(r *http.Request, ctx context.Context, endpoint string) *traceBuilder {
-	if !boolParam(r.URL.Query().Get("trace")) {
-		return nil
-	}
-	rt.tracedQueries.Add(1)
-	return newTraceBuilder(requestIDFrom(ctx), endpoint, len(rt.shards))
-}
-
-// handleConnected answers GET /v1/connected by gathering start//tag(to)
-// with an early stop once the target's distance is final.
-func (rt *Router) handleConnected(w http.ResponseWriter, r *http.Request, ctx context.Context) {
-	q := r.URL.Query()
-	from, err := rt.resolveNode(q.Get("from"))
-	if err != nil {
-		rt.fail(w, http.StatusNotFound, "from: "+err.Error())
-		return
-	}
-	to, err := rt.resolveNode(q.Get("to"))
-	if err != nil {
-		rt.fail(w, http.StatusNotFound, "to: "+err.Error())
-		return
-	}
-	maxDist, err := intParam(q.Get("maxdist"), 0)
-	if err != nil {
-		rt.fail(w, http.StatusBadRequest, "bad maxdist: "+err.Error())
-		return
-	}
-	tb := rt.traceFor(r, ctx, "connected")
-	var (
-		dist int32
-		ok   bool
-		g    gatherOut
-	)
-	if from == to {
-		dist, ok = 0, true
-	} else {
-		g = rt.gather(ctx, requestIDFrom(ctx), []flix.FrontierEntry{{Node: from, Dist: 0}},
-			rt.coll.Tag(to), int32(maxDist), 0, to, tb)
-		for _, e := range g.results {
-			if e.Node == to {
-				dist, ok = e.Dist, true
-				break
-			}
-		}
-	}
-	timedOut := expired(ctx)
-	if timedOut {
-		rt.timeouts.Add(1)
-	}
-	rt.setPartialHeader(w, g)
-	resp := map[string]any{"connected": ok, "timedOut": timedOut, "partial": g.partial, "failedShards": g.failed}
-	if ok {
-		resp["dist"] = dist
-	}
-	if tb != nil {
-		var n int64
-		if ok {
-			n = 1
-		}
-		resp["trace"] = tb.finish(n, g.partial, g.failed)
-	}
-	rt.ok(w, resp)
-}
-
-// handleQuery answers GET /v1/query: the regular ranked evaluator running
-// against the scatter-gather backend, so every //-step scan fans out.
-func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request, ctx context.Context) {
-	expr := r.URL.Query().Get("q")
-	if expr == "" {
-		rt.fail(w, http.StatusBadRequest, "missing q parameter")
-		return
-	}
-	k, err := rt.limitFor(r)
-	if err != nil {
-		rt.fail(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	pq, err := query.Parse(expr)
-	if err != nil {
-		rt.fail(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	tb := rt.traceFor(r, ctx, "query")
-	be := &routerBackend{rt: rt, ctx: ctx, reqID: requestIDFrom(ctx), tb: tb}
-	eval := &query.Evaluator{
-		Index:      be,
-		Ontology:   rt.onto,
-		MaxResults: k,
-		Cancel:     ctx.Done(),
-	}
-	matches := eval.EvaluateTopK(pq, k)
-	timedOut := expired(ctx)
-	if timedOut {
-		rt.timeouts.Add(1)
-	}
-	type matchJSON struct {
-		nodeJSON
-		Score   float64 `json:"score"`
-		PathLen int32   `json:"pathLen"`
-	}
-	out := make([]matchJSON, 0, len(matches))
-	for _, m := range matches {
-		out = append(out, matchJSON{
-			nodeJSON: rt.nodeJSON(m.Node, m.PathLen),
-			Score:    m.Score,
-			PathLen:  m.PathLen,
-		})
-	}
-	rt.setPartialHeader(w, gatherOut{partial: be.partial, failed: be.failed})
-	resp := map[string]any{
-		"results":      out,
-		"count":        len(out),
-		"timedOut":     timedOut,
-		"partial":      be.partial,
-		"failedShards": be.failed,
-	}
-	if tb != nil {
-		// The ranked evaluator's own work shape rides on the root span;
-		// each //-step scan is one gather child beneath it.
-		tb.root.SetAttr("steps", int64(eval.Stats.Steps))
-		tb.root.SetAttr("scans", int64(eval.Stats.Scans))
-		tb.root.SetAttr("anchored", int64(eval.Stats.Anchored))
-		resp["trace"] = tb.finish(int64(len(out)), be.partial, be.failed)
-	}
-	rt.ok(w, resp)
-}
-
-// setPartialHeader attaches X-Flix-Shards-Failed when shards dropped out of
-// a gather.
-func (rt *Router) setPartialHeader(w http.ResponseWriter, g gatherOut) {
-	if len(g.failed) == 0 {
-		return
-	}
-	ids := make([]string, len(g.failed))
-	for i, sh := range g.failed {
-		ids[i] = strconv.Itoa(sh)
-	}
-	w.Header().Set(FailedShardsHeader, strings.Join(ids, ","))
-}
-
-// --- request plumbing shared with the single-node server's wire shape ---
-// (internal/server imports this package, so these small helpers are
-// duplicated rather than imported back.)
-
-func (rt *Router) timeoutFor(r *http.Request) (time.Duration, error) {
-	raw := r.URL.Query().Get("timeout")
-	if raw == "" {
-		return rt.cfg.DefaultTimeout, nil
-	}
-	d, err := time.ParseDuration(raw)
-	if err != nil || d <= 0 {
-		return 0, fmt.Errorf("bad timeout %q (want a positive duration like 500ms)", raw)
-	}
-	if d > rt.cfg.MaxTimeout {
-		d = rt.cfg.MaxTimeout
-	}
-	return d, nil
-}
-
-func (rt *Router) limitFor(r *http.Request) (int, error) {
-	raw := r.URL.Query().Get("k")
-	if raw == "" {
-		return rt.cfg.DefaultLimit, nil
-	}
-	k, err := strconv.Atoi(raw)
-	if err != nil || k <= 0 {
-		return 0, fmt.Errorf("bad k %q (want a positive integer)", raw)
-	}
-	if k > rt.cfg.MaxLimit {
-		k = rt.cfg.MaxLimit
-	}
-	return k, nil
-}
-
-func (rt *Router) resolveNode(raw string) (xmlgraph.NodeID, error) {
-	if raw == "" {
-		return xmlgraph.InvalidNode, fmt.Errorf("missing node parameter")
-	}
-	if d, ok := rt.coll.DocByName(raw); ok {
-		return rt.coll.Doc(d).Root, nil
-	}
-	n, err := strconv.Atoi(raw)
-	if err != nil || n < 0 || n >= rt.coll.NumNodes() {
-		return xmlgraph.InvalidNode, fmt.Errorf("unknown node %q (want a document name or a node id < %d)", raw, rt.coll.NumNodes())
-	}
-	return xmlgraph.NodeID(n), nil
-}
-
-type nodeJSON struct {
-	Node xmlgraph.NodeID `json:"node"`
-	Tag  string          `json:"tag"`
-	Doc  string          `json:"doc"`
-	Text string          `json:"text,omitempty"`
-	Dist int32           `json:"dist"`
-}
-
-func (rt *Router) nodeJSON(n xmlgraph.NodeID, dist int32) nodeJSON {
-	return nodeJSON{
-		Node: n,
-		Tag:  rt.coll.Tag(n),
-		Doc:  rt.coll.Doc(rt.coll.DocOf(n)).Name,
-		Text: snippet(rt.coll.Node(n).Text),
-		Dist: dist,
-	}
-}
-
-func snippet(t string) string {
-	t = strings.Join(strings.Fields(t), " ")
-	if len(t) > 80 {
-		t = t[:77] + "..."
-	}
-	return t
-}
-
-func expired(ctx context.Context) bool {
-	if ctx.Err() != nil {
-		return true
-	}
-	dl, ok := ctx.Deadline()
-	return ok && !time.Now().Before(dl)
-}
-
-func (rt *Router) ok(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
-}
-
-func (rt *Router) fail(w http.ResponseWriter, code int, msg string) {
-	if code >= 400 && code < 500 && code != http.StatusTooManyRequests {
-		rt.clientErrors.Add(1)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]any{"error": msg}) //nolint:errcheck
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	sw.status = code
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-func (rt *Router) logged(next http.Handler) http.Handler {
-	if rt.cfg.Logger == nil {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		t0 := time.Now()
-		next.ServeHTTP(sw, r)
-		rt.cfg.Logger.Printf("id=%s %s %s %d %s", requestIDFrom(r.Context()),
-			r.Method, r.URL.RequestURI(), sw.status, time.Since(t0).Round(time.Microsecond))
-	})
-}
-
-func intParam(raw string, def int) (int, error) {
-	if raw == "" {
-		return def, nil
-	}
-	n, err := strconv.Atoi(raw)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("%q is not a non-negative integer", raw)
-	}
-	return n, nil
-}
-
-func boolParam(raw string) bool {
-	return raw == "1" || raw == "true"
 }

@@ -2,16 +2,15 @@ package shard
 
 import (
 	"fmt"
-	"net/http"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// handleHealthz reports aggregate readiness: 200 once the topology is
-// loaded and a quorum of shards is up, 503 (with the same JSON body)
-// otherwise, so orchestrators and the shard client read one shape.
-func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
+// Health adds the router's own /healthz fields to body — the aggregate
+// status, the quorum and each shard's probe state — and reports readiness:
+// the topology is loaded and a quorum of shards is up.
+func (rt *Router) Health(body map[string]any) bool {
 	ready := rt.Ready()
 	readyShards := rt.readyShards()
 	status := "ok"
@@ -34,28 +33,18 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			shards[i]["error"] = e
 		}
 	}
-	body := map[string]any{
-		"status":      status,
-		"ready":       ready,
-		"readyShards": readyShards,
-		"shards":      len(rt.shards),
-		"quorum":      rt.cfg.Quorum,
-		"inFlight":    len(rt.sem),
-		"maxInFlight": cap(rt.sem),
-		"uptime":      time.Since(rt.started).Round(time.Millisecond).String(),
-		"shardStates": shards,
-	}
-	if !ready {
-		w.Header().Set("Retry-After", "1")
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}
-	rt.ok(w, body)
+	body["status"] = status
+	body["readyShards"] = readyShards
+	body["shards"] = len(rt.shards)
+	body["quorum"] = rt.cfg.Quorum
+	body["shardStates"] = shards
+	return ready
 }
 
-// handleStatsz renders the router's operational counters plus a per-shard
-// section: probe state, backpressure and the shard RPC latency quantiles.
-func (rt *Router) handleStatsz(w http.ResponseWriter, r *http.Request) {
+// Status adds the router's own /statsz sections to out: readiness, the
+// topology, the scatter counters and a per-shard section with probe state,
+// backpressure and the shard RPC latency quantiles.
+func (rt *Router) Status(out map[string]any) {
 	topoSection := map[string]any{"loaded": false}
 	if topo := rt.topo.Load(); topo != nil {
 		topoSection = map[string]any{
@@ -64,15 +53,6 @@ func (rt *Router) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			"nodes":       topo.numNodes,
 			"fingerprint": topo.fingerprint,
 			"loadedFrom":  topo.loadedFrom,
-		}
-	}
-	latency := map[string]any{}
-	for ep, h := range rt.latency {
-		sn := h.Snapshot()
-		latency[ep] = map[string]any{
-			"count": sn.Count,
-			"p50":   durString(sn.Quantile(0.50)),
-			"p99":   durString(sn.Quantile(0.99)),
 		}
 	}
 	shards := make([]map[string]any, len(rt.shards))
@@ -99,40 +79,24 @@ func (rt *Router) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			shards[i]["lastError"] = e
 		}
 	}
-	rt.ok(w, map[string]any{
-		"ready":    rt.Ready(),
-		"uptime":   time.Since(rt.started).Round(time.Millisecond).String(),
-		"topology": topoSection,
-		"requests": map[string]any{
-			"descendants":  rt.reqDescendants.Load(),
-			"connected":    rt.reqConnected.Load(),
-			"query":        rt.reqQuery.Load(),
-			"batch":        rt.reqBatch.Load(),
-			"shed":         rt.shed.Load(),
-			"notReady":     rt.notReady.Load(),
-			"timeouts":     rt.timeouts.Load(),
-			"clientErrors": rt.clientErrors.Load(),
-			"inFlight":     len(rt.sem),
-			"maxInFlight":  cap(rt.sem),
-		},
-		"scatter": map[string]any{
-			"fanouts":          rt.fanouts.Load(),
-			"gathers":          rt.gathers.Load(),
-			"rounds":           rt.rounds.Load(),
-			"roundsPerGather":  ratio(rt.rounds.Load(), rt.gathers.Load()),
-			"hops":             rt.hops.Load(),
-			"hopsDeduped":      rt.hopsDeduped.Load(),
-			"hopsRedispatched": rt.hopsRedispatched.Load(),
-			"earlyStops":       rt.earlyStops.Load(),
-			"budgetStops":      rt.budgetStops.Load(),
-			"partials":         rt.partials.Load(),
-			"shardFailures":    rt.shardFailures.Load(),
-			"hopBudget":        rt.cfg.HopBudget,
-			"tracedQueries":    rt.tracedQueries.Load(),
-		},
-		"latency":     latency,
-		"shardStates": shards,
-	})
+	out["ready"] = rt.Ready()
+	out["topology"] = topoSection
+	out["scatter"] = map[string]any{
+		"fanouts":          rt.fanouts.Load(),
+		"gathers":          rt.gathers.Load(),
+		"rounds":           rt.rounds.Load(),
+		"roundsPerGather":  ratio(rt.rounds.Load(), rt.gathers.Load()),
+		"hops":             rt.hops.Load(),
+		"hopsDeduped":      rt.hopsDeduped.Load(),
+		"hopsRedispatched": rt.hopsRedispatched.Load(),
+		"earlyStops":       rt.earlyStops.Load(),
+		"budgetStops":      rt.budgetStops.Load(),
+		"partials":         rt.partials.Load(),
+		"shardFailures":    rt.shardFailures.Load(),
+		"hopBudget":        rt.cfg.HopBudget,
+		"tracedQueries":    rt.tracedQueries.Load(),
+	}
+	out["shardStates"] = shards
 }
 
 func durString(d time.Duration) string {
@@ -147,12 +111,10 @@ func ratio(num, den int64) float64 {
 	return float64(num) / float64(den)
 }
 
-// handleMetrics renders the router counters in the Prometheus text format,
-// same hand-rolled exposition as the single-node server (internal/obs).
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
-
+// WriteMetrics writes the router's own series in the Prometheus text
+// format (internal/obs exposition helpers): readiness, the scatter counters
+// and the per-shard RPC series.  The front end writes the request series.
+func (rt *Router) WriteMetrics(p func(format string, args ...any)) {
 	p("# HELP flix_router_ready Whether the router serves (topology loaded, quorum up).\n")
 	p("# TYPE flix_router_ready gauge\n")
 	if rt.Ready() {
@@ -166,24 +128,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("# HELP flix_router_shards Configured shards.\n")
 	p("# TYPE flix_router_shards gauge\n")
 	p("flix_router_shards %d\n", len(rt.shards))
-
-	p("# HELP flix_router_requests_total Query requests received, by endpoint.\n")
-	p("# TYPE flix_router_requests_total counter\n")
-	p("flix_router_requests_total{endpoint=\"descendants\"} %d\n", rt.reqDescendants.Load())
-	p("flix_router_requests_total{endpoint=\"connected\"} %d\n", rt.reqConnected.Load())
-	p("flix_router_requests_total{endpoint=\"query\"} %d\n", rt.reqQuery.Load())
-	p("# HELP flix_router_requests_shed_total Requests rejected 429 (router or cluster at capacity).\n")
-	p("# TYPE flix_router_requests_shed_total counter\n")
-	p("flix_router_requests_shed_total %d\n", rt.shed.Load())
-	p("# HELP flix_router_requests_not_ready_total Requests answered 503 below quorum.\n")
-	p("# TYPE flix_router_requests_not_ready_total counter\n")
-	p("flix_router_requests_not_ready_total %d\n", rt.notReady.Load())
-	p("# HELP flix_router_request_timeouts_total Requests whose deadline expired mid-gather.\n")
-	p("# TYPE flix_router_request_timeouts_total counter\n")
-	p("flix_router_request_timeouts_total %d\n", rt.timeouts.Load())
-	p("# HELP flix_router_client_errors_total Requests rejected with a 4xx other than 429.\n")
-	p("# TYPE flix_router_client_errors_total counter\n")
-	p("flix_router_client_errors_total %d\n", rt.clientErrors.Load())
 
 	p("# HELP flix_router_fanouts_total Shard RPC batches dispatched.\n")
 	p("# TYPE flix_router_fanouts_total counter\n")
@@ -222,11 +166,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("# TYPE flix_router_traced_queries_total counter\n")
 	p("flix_router_traced_queries_total %d\n", rt.tracedQueries.Load())
 
-	p("# HELP flix_router_request_duration_seconds Query latency by endpoint.\n")
-	p("# TYPE flix_router_request_duration_seconds histogram\n")
-	for _, ep := range []string{"connected", "descendants", "query"} {
-		writeHistogram(p, "flix_router_request_duration_seconds", "endpoint", ep, rt.latency[ep].Snapshot())
-	}
 	p("# HELP flix_router_shard_rpc_duration_seconds Shard RPC latency by shard.\n")
 	p("# TYPE flix_router_shard_rpc_duration_seconds histogram\n")
 	for i := range rt.shards {
@@ -251,11 +190,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		p("flix_router_shard_ready{shard=\"%d\"} %d\n", i, v)
 	}
-	p("# HELP flix_router_inflight_requests Queries currently evaluating.\n")
-	p("# TYPE flix_router_inflight_requests gauge\n")
-	p("flix_router_inflight_requests %d\n", len(rt.sem))
-
-	obs.WriteGoRuntimeText(p)
 }
 
 // writeHistogram aliases the exposition helper shared with the single-node
